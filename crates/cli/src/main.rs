@@ -33,7 +33,8 @@
 //!     --verbose             print the per-query cost audit (QueryCost) to stderr
 //!
 //! EXECUTION OPTIONS (engine-served queries: topk, pagerank, autotune, serve):
-//!     --workers <n>         engine worker threads per query (0 = auto)   [default: 0]
+//!     --workers <n>         engine worker threads per query; 0 = serial, or
+//!                           host-sized with --parallel                   [default: 0]
 //!     --staleness <s>       bounded-staleness window, in supersteps      [default: 0]
 //!
 //!   The two worker pools compose and are deliberately distinct flags: `--workers`
@@ -80,8 +81,9 @@
 //!     --iterations <n>     engine supersteps                        [default: 4]
 //!     --ps <p>             mirror synchronization probability       [default: 0.7]
 //!     --repeat <n>         serve the query n times on one session   [default: 1]
-//!     --parallel           serve engine work batches from a worker pool
-//!                          (sized by --workers, see EXECUTION OPTIONS)
+//!     --parallel           serve engine work batches from a host-sized worker pool;
+//!                          an explicit --workers N > 0 runs N workers with or
+//!                          without it (see EXECUTION OPTIONS)
 //!     --tolerance <t>      delta gate: a vertex whose live-walker count after apply
 //!                          is <= t skips scatter and leaves the frontier [default: 0]
 //!

@@ -44,7 +44,8 @@ pub struct FrogWildConfig {
     pub binomial_scatter: bool,
     /// Seed for walker placement and all engine randomness.
     pub seed: u64,
-    /// Serve the engine's work batches from a multi-threaded worker pool.
+    /// Serve the engine's work batches from a host-sized worker pool. An explicit
+    /// [`ExecutionConfig::workers`] count applies with or without this flag.
     pub parallel: bool,
     /// Delta-gating threshold: a vertex whose live-walker count after apply is at or
     /// below this value skips synchronization and scatter and drops out of the
@@ -188,8 +189,10 @@ impl Scheduling {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
-    /// Worker threads serving phase work batches when parallel execution is on
-    /// (`0` = derive from the host's available parallelism).
+    /// Worker threads serving phase work batches. A positive count is used whether
+    /// or not the algorithm config asks for parallel execution; `0` derives the count
+    /// from the host's available parallelism when it does, and runs serially when it
+    /// does not.
     pub workers: usize,
     /// Tasks per work batch — one contiguous key range of one simulated machine's
     /// task list (`0` = built-in default).
@@ -211,7 +214,8 @@ impl ExecutionConfig {
         ExecutionConfig::default()
     }
 
-    /// Sets the worker-pool size (`0` = derive from the host).
+    /// Sets the worker-pool size (`0` = derive from the host under parallel
+    /// execution, serial otherwise).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -283,7 +287,8 @@ pub struct PageRankConfig {
     /// Seed for engine randomness (partitioning-related only; PageRank itself is
     /// deterministic).
     pub seed: u64,
-    /// Run the per-machine engine phases on one thread per simulated machine.
+    /// Serve the engine's work batches from a host-sized worker pool. An explicit
+    /// [`ExecutionConfig::workers`] count applies with or without this flag.
     pub parallel: bool,
 }
 

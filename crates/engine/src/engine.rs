@@ -37,10 +37,21 @@
 //! random decisions go through counter-mode hashes of `(seed, superstep, vertex,
 //! machine)`, so any worker count, batch size, or serial execution produces identical
 //! results for identical configurations.
+//!
+//! Engine state is laid out flat. Every replica-level fact the superstep needs — the
+//! master's machine and local slot, each replica's local index, whether a replica
+//! owns out-edges — comes from the partition-time replica directory
+//! ([`VertexPlacement`](crate::placement::VertexPlacement)) by array reads; no shard
+//! lookup table is binary-searched on the superstep path. Message inboxes and
+//! gather accumulators are one slot array per run, indexed by global vertex id: every
+//! vertex has exactly one master, so slot `v` *is* the inbox of `v`'s master. Apply
+//! takes the slots of every frontier vertex, so every slot is empty again once apply
+//! finishes and no touched-list bookkeeping is needed. The only ordered map left is
+//! the staging inbox keyed by visibility superstep.
 
 // lint:allow-file(indexing, hot path: every index derives from shard-local offsets validated at build time)
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -90,18 +101,20 @@ pub struct EngineConfig {
     pub max_supersteps: usize,
     /// Seed for all engine randomness.
     pub seed: u64,
-    /// If `true`, phase work batches are served by a multi-threaded worker pool;
-    /// if `false`, everything runs on the calling thread. Results are bit-identical
-    /// either way.
+    /// If `true`, phase work batches are served by a multi-threaded worker pool
+    /// sized by [`EngineConfig::workers`] (or the host when `workers` is 0); if
+    /// `false` and `workers` is 0, everything runs on the calling thread. Results are
+    /// bit-identical either way.
     pub parallel: bool,
     /// Delta-gating threshold: after apply, a vertex whose `program.delta(old, new)`
     /// is `<= tolerance` skips synchronization and scatter and drops out of the
     /// frontier. `0.0` (the default) reproduces the ungated engine bit-for-bit for
     /// every shipped program.
     pub tolerance: f64,
-    /// Worker threads serving work batches when `parallel` is set. `0` (the default)
-    /// sizes the pool from the host's available parallelism; the thread count is
-    /// independent of the simulated machine count.
+    /// Worker threads serving work batches. A positive count is honoured whether or
+    /// not `parallel` is set. `0` (the default) runs serially unless `parallel` is
+    /// set, in which case the pool is sized from the host's available parallelism.
+    /// The thread count is independent of the simulated machine count.
     pub workers: usize,
     /// Number of tasks per work batch (a contiguous key range of one machine's task
     /// list). `0` (the default) picks a built-in size. Smaller batches balance better;
@@ -253,12 +266,6 @@ struct ScatterTask {
     num_participating: usize,
 }
 
-/// A state refresh a machine must apply to its mirror cache before scattering.
-struct SyncReceive<S> {
-    local: u32,
-    state: S,
-}
-
 /// One combined message leaving a superstep's routing phase, addressed to the master
 /// replica of its destination vertex. Routing emits these in canonical order —
 /// sending machine ascending, destination vertex ascending within a sender — which
@@ -268,16 +275,16 @@ struct RoutedMessage<M> {
     sender: usize,
     /// Machine mastering the destination vertex.
     machine: usize,
-    /// Local index of the destination vertex on `machine`.
-    local: u32,
+    /// The destination vertex.
+    vertex: VertexId,
     message: M,
 }
 
 /// A message waiting in the bounded-staleness staging inbox for its visibility
 /// superstep.
 struct StagedMessage<M> {
-    machine: usize,
-    local: u32,
+    /// The destination vertex (its inbox slot).
+    vertex: VertexId,
     message: M,
     /// Supersteps of delay relative to synchronous (next-superstep) delivery.
     lag: u64,
@@ -289,6 +296,24 @@ struct DrainResult {
     activations: Vec<VertexId>,
     /// Summed delivery lag of the drained messages, in supersteps.
     lag: u64,
+}
+
+/// The engine's vertex-indexed inbox and accumulator slots: slot `v` holds the
+/// combined incoming message (gather accumulation) of `v`'s master replica. Apply
+/// takes the slots of every frontier vertex, so all slots are empty between
+/// supersteps.
+struct Slots<P: VertexProgram> {
+    inbox: Vec<Option<P::Message>>,
+    accums: Vec<Option<P::Accum>>,
+}
+
+impl<P: VertexProgram> Slots<P> {
+    fn new(num_vertices: usize) -> Self {
+        Slots {
+            inbox: std::iter::repeat_with(|| None).take(num_vertices).collect(),
+            accums: std::iter::repeat_with(|| None).take(num_vertices).collect(),
+        }
+    }
 }
 
 /// The synchronous engine. Borrows the partitioned graph; owns the program and config.
@@ -326,6 +351,15 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
     /// Runs the program to completion (quiescence or `max_supersteps`) and returns the
     /// final per-vertex states plus the run metrics.
     pub fn run(&self, initial: InitialActivation<P::Message>) -> EngineOutput<P::State> {
+        self.execute(initial).0
+    }
+
+    /// [`Engine::run`], also handing back the slot arrays so tests can check that
+    /// they end empty.
+    fn execute(
+        &self,
+        initial: InitialActivation<P::Message>,
+    ) -> (EngineOutput<P::State>, Slots<P>) {
         let num_machines = self.graph.num_machines();
         let num_vertices = self.graph.num_vertices();
 
@@ -337,10 +371,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             .map(|s| vec![P::State::default(); s.num_local_vertices()])
             .collect();
 
-        // Message inboxes: inboxes[machine] maps local index (of a locally mastered
-        // vertex) to the combined incoming message.
-        let mut inboxes: Vec<BTreeMap<u32, P::Message>> =
-            (0..num_machines).map(|_| BTreeMap::new()).collect();
+        // Message inboxes and gather accumulators, one slot per vertex (its master's).
+        let mut slots = Slots::<P>::new(num_vertices);
 
         // Initial frontier.
         let mut frontier: Frontier = match initial {
@@ -365,13 +397,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                             }
                         }
                     }
-                    let master = self.graph.placement().master(v);
-                    let local = self
-                        .graph
-                        .shard(master)
-                        .local_index(v)
-                        .expect("master shard holds the vertex"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                    inboxes[master.index()].insert(local, combined);
+                    slots.inbox[v as usize] = Some(combined);
                     active.push(v);
                     if current.is_none() {
                         break;
@@ -414,9 +440,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     _ => break,
                 }
             }
-            // Drain everything due at this superstep into the machine inboxes; newly
+            // Drain everything due at this superstep into the inbox slots; newly
             // delivered messages activate their destination vertices.
-            let drained = self.drain_staged(superstep, &mut staged, &mut inboxes);
+            let drained = self.drain_staged(superstep, &mut staged, &mut slots.inbox);
             if !drained.activations.is_empty() {
                 let mut vertices = std::mem::take(&mut frontier.vertices);
                 vertices.extend(drained.activations);
@@ -429,7 +455,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             );
             let start = Instant::now(); // lint:allow(timing, host-seconds telemetry only; never feeds results)
             let (mut step_metrics, routed) =
-                self.superstep(superstep, &frontier, &mut caches, &mut inboxes, &loop_sink);
+                self.superstep(superstep, &frontier, &mut caches, &mut slots, &loop_sink);
             step_metrics.host_seconds = start.elapsed().as_secs_f64();
             step_metrics.staleness_lag = drained.lag;
 
@@ -443,8 +469,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     continue;
                 }
                 staged.entry(visible).or_default().push(StagedMessage {
-                    machine: r.machine,
-                    local: r.local,
+                    vertex: r.vertex,
                     message: r.message,
                     lag: (visible - (superstep + 1)) as u64,
                 });
@@ -524,13 +549,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let placement = self.graph.placement();
         let states: Vec<P::State> = (0..num_vertices as VertexId)
             .map(|v| {
-                let m = placement.master(v);
-                let local = self.graph.shard(m).local_index(v).expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                caches[m.index()][local as usize].clone()
+                caches[placement.master(v).index()][placement.master_local(v) as usize].clone()
             })
             .collect();
 
-        EngineOutput { states, metrics }
+        (EngineOutput { states, metrics }, slots)
     }
 
     /// The superstep at which a message produced in `superstep` on the channel from
@@ -558,7 +581,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         (base + delay).min(self.config.max_supersteps - 1)
     }
 
-    /// Drains every staged message due at `superstep` into the machine inboxes, in
+    /// Drains every staged message due at `superstep` into the inbox slots, in
     /// `(visibility superstep, production order)` order — the fixed drain schedule
     /// that makes bounded-staleness runs deterministic. Returns the activated
     /// vertices and the summed delivery lag.
@@ -566,7 +589,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         &self,
         superstep: usize,
         staged: &mut BTreeMap<usize, Vec<StagedMessage<P::Message>>>,
-        inboxes: &mut [BTreeMap<u32, P::Message>],
+        inbox: &mut [Option<P::Message>],
     ) -> DrainResult {
         let mut activations = Vec::new();
         let mut lag = 0u64;
@@ -579,22 +602,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             };
             for staged_msg in batch {
                 lag += staged_msg.lag;
-                match inboxes[staged_msg.machine].entry(staged_msg.local) {
-                    btree_map::Entry::Occupied(mut e) => {
-                        let combined = self
-                            .program
-                            .combine_messages(e.get().clone(), staged_msg.message);
-                        e.insert(combined);
+                let slot = &mut inbox[staged_msg.vertex as usize];
+                *slot = Some(match slot.take() {
+                    Some(existing) => self.program.combine_messages(existing, staged_msg.message),
+                    None => {
+                        activations.push(staged_msg.vertex);
+                        staged_msg.message
                     }
-                    btree_map::Entry::Vacant(e) => {
-                        e.insert(staged_msg.message);
-                        let vertex = self
-                            .graph
-                            .shard(MachineId::from(staged_msg.machine))
-                            .global_id(staged_msg.local);
-                        activations.push(vertex);
-                    }
-                }
+                });
             }
         }
         DrainResult { activations, lag }
@@ -607,7 +622,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         superstep: usize,
         frontier: &Frontier,
         caches: &mut [Vec<P::State>],
-        inboxes: &mut [BTreeMap<u32, P::Message>],
+        slots: &mut Slots<P>,
         sink: &SpanSink,
     ) -> (SuperstepMetrics, Vec<RoutedMessage<P::Message>>) {
         let num_machines = self.graph.num_machines();
@@ -625,17 +640,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         // ------------------------------------------------------------------ gather --
         let mut gather_span =
             sink.span(span_meta!("gather"), SpanKey::new(step, 0, 0, LANE_GATHER));
-        let mut accums: Vec<BTreeMap<u32, P::Accum>> =
-            (0..num_machines).map(|_| BTreeMap::new()).collect();
         if self.program.gather_direction() == EdgeDirection::In {
             // Which local vertices must gather on each machine.
             let mut gather_tasks: Vec<Vec<u32>> = vec![Vec::new(); num_machines];
             for &v in active {
-                for &m in placement.replicas(v) {
-                    if let Some(local) = self.graph.shard(m).local_index(v) {
-                        if self.graph.shard(m).local_in_degree(local) > 0 {
-                            gather_tasks[m.index()].push(local);
-                        }
+                let run = placement.run(v);
+                for (&m, &local) in run.machines.iter().zip(run.locals) {
+                    if self.graph.shard(m).local_in_degree(local) > 0 {
+                        gather_tasks[m.index()].push(local);
                     }
                 }
             }
@@ -675,8 +687,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 work.gather_ops += ops;
                 work.ops_per_machine[machine] += ops;
                 for (vertex, accum) in partials {
-                    let master = placement.master(vertex);
-                    if master.index() != machine {
+                    if placement.master(vertex).index() != machine {
                         net.record(
                             machine,
                             (self.program.accum_bytes()
@@ -684,20 +695,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                                 as u64,
                         );
                     }
-                    let local = self
-                        .graph
-                        .shard(master)
-                        .local_index(vertex)
-                        .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                    match accums[master.index()].entry(local) {
-                        btree_map::Entry::Occupied(mut e) => {
-                            let combined = self.program.combine_accums(e.get().clone(), accum);
-                            e.insert(combined);
-                        }
-                        btree_map::Entry::Vacant(e) => {
-                            e.insert(accum);
-                        }
-                    }
+                    let slot = &mut slots.accums[vertex as usize];
+                    *slot = Some(match slot.take() {
+                        Some(existing) => self.program.combine_accums(existing, accum),
+                        None => accum,
+                    });
                 }
             }
         }
@@ -709,20 +711,13 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let mut apply_span = sink.span(span_meta!("apply"), SpanKey::new(step, 0, 0, LANE_APPLY));
         let mut apply_tasks: Vec<Vec<ApplyTask<P>>> =
             (0..num_machines).map(|_| Vec::new()).collect();
+        // Taking every frontier vertex's slots leaves all slots empty again.
         for &v in active {
-            let master = placement.master(v);
-            let local = self
-                .graph
-                .shard(master)
-                .local_index(v)
-                .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-            let accum = accums[master.index()].remove(&local);
-            let message = inboxes[master.index()].remove(&local);
-            apply_tasks[master.index()].push(ApplyTask {
-                local,
+            apply_tasks[placement.master(v).index()].push(ApplyTask {
+                local: placement.master_local(v),
                 vertex: v,
-                accum,
-                message,
+                accum: slots.accums[v as usize].take(),
+                message: slots.inbox[v as usize].take(),
             });
         }
         // Workers compute fresh states (and their deltas) against the read-only
@@ -771,40 +766,38 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let mut sync_span = sink.span(span_meta!("sync"), SpanKey::new(step, 0, 0, LANE_SYNC));
         let ps = self.config.sync_policy.probability();
         let tolerance = self.config.tolerance;
-        let mut sync_receives: Vec<Vec<SyncReceive<P::State>>> =
-            (0..num_machines).map(|_| Vec::new()).collect();
+        let sync_bytes =
+            (self.program.state_bytes() + self.config.cost_model.message_header_bytes) as u64;
         let mut scatter_tasks: Vec<Vec<ScatterTask>> =
             (0..num_machines).map(|_| Vec::new()).collect();
         let mut delta_cursors = vec![0usize; num_machines];
+        // Positions (in the vertex's directory run, hence in machine order) of the
+        // replicas that participate this superstep; reused across vertices.
+        let mut participating: Vec<usize> = Vec::new();
 
         for &v in active {
-            let master = placement.master(v);
-            let master_local = self
-                .graph
-                .shard(master)
-                .local_index(v)
-                .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
+            let run = placement.run(v);
+            let master = run.master_machine().index();
+            let master_local = run.master_local() as usize;
             let delta = {
-                let cursor = &mut delta_cursors[master.index()];
-                let d = deltas[master.index()][*cursor];
+                let cursor = &mut delta_cursors[master];
+                let d = deltas[master][*cursor];
                 *cursor += 1;
                 d
             };
-            let master_state = &caches[master.index()][master_local as usize];
             // The scatter gate: structurally quiet vertices and delta-gated
             // (converged) vertices schedule no synchronization and no scatter, so
             // they fall out of the frontier. A program that does not implement
             // `delta` reports infinity, which no finite tolerance gates.
-            if !self.program.needs_scatter(v, master_state) || delta <= tolerance {
+            if !self.program.needs_scatter(v, &caches[master][master_local]) || delta <= tolerance {
                 work.skipped_scatters += 1;
                 continue;
             }
-            let replicas = placement.replicas(v);
             // Decide which replicas are synchronized (and hence may scatter).
-            let mut participating: Vec<MachineId> = Vec::with_capacity(replicas.len());
-            for &r in replicas {
-                if r == master {
-                    participating.push(r);
+            participating.clear();
+            for (i, r) in run.machines.iter().enumerate() {
+                if i == run.master {
+                    participating.push(i);
                     continue;
                 }
                 let synced = match self.config.sync_policy {
@@ -823,14 +816,10 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     }
                 };
                 if synced {
-                    participating.push(r);
+                    participating.push(i);
                     work.sync_ops += 1;
-                    work.ops_per_machine[master.index()] += 1;
-                    net.record(
-                        master.index(),
-                        (self.program.state_bytes() + self.config.cost_model.message_header_bytes)
-                            as u64,
-                    );
+                    work.ops_per_machine[master] += 1;
+                    net.record(master, sync_bytes);
                 } else {
                     work.skipped_syncs += 1;
                 }
@@ -838,86 +827,52 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
             // "At least one out-edge per node": if no participating replica owns an
             // out-edge while the vertex does have out-edges, force-sync one replica
-            // that does.
-            if self.config.sync_policy.guarantees_out_edge() && self.graph.out_degree(v) > 0 {
-                let has_out = |m: MachineId| {
-                    let shard = self.graph.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l) > 0)
-                        .unwrap_or(false)
-                };
-                if !participating.iter().any(|&m| has_out(m)) {
-                    let candidates: Vec<MachineId> =
-                        replicas.iter().copied().filter(|&m| has_out(m)).collect();
-                    if !candidates.is_empty() {
-                        let pick = candidates[rng::pick_index(
-                            candidates.len(),
-                            &[self.config.seed, superstep as u64, v as u64, TAG_FORCE],
-                        )];
-                        participating.push(pick);
-                        if pick != master {
-                            work.sync_ops += 1;
-                            work.skipped_syncs = work.skipped_syncs.saturating_sub(1);
-                            work.ops_per_machine[master.index()] += 1;
-                            net.record(
-                                master.index(),
-                                (self.program.state_bytes()
-                                    + self.config.cost_model.message_header_bytes)
-                                    as u64,
-                            );
-                        }
-                        participating.sort_unstable();
+            // that does. The master participates and owns no out-edge here, so the
+            // pick is always a mirror.
+            if self.config.sync_policy.guarantees_out_edge()
+                && self.graph.out_degree(v) > 0
+                && !participating.iter().any(|&i| run.has_out[i])
+            {
+                let candidates = run.has_out.iter().filter(|&&h| h).count();
+                if candidates > 0 {
+                    let k = rng::pick_index(
+                        candidates,
+                        &[self.config.seed, superstep as u64, v as u64, TAG_FORCE],
+                    );
+                    let pick = run.has_out.iter().enumerate().filter(|&(_, &h)| h).nth(k);
+                    if let Some((pick, _)) = pick {
+                        work.sync_ops += 1;
+                        work.skipped_syncs = work.skipped_syncs.saturating_sub(1);
+                        work.ops_per_machine[master] += 1;
+                        net.record(master, sync_bytes);
+                        let at = participating.partition_point(|&i| i < pick);
+                        participating.insert(at, pick);
                     }
                 }
             }
 
-            // Queue state refreshes for participating non-master machines.
-            for &m in &participating {
-                if m == master {
-                    continue;
+            // Refresh the participating mirrors' caches, and schedule a scatter task on
+            // every participating replica that owns at least one out-edge. A mirror
+            // slot belongs to `v` alone, so the write cannot disturb another active
+            // vertex's master state.
+            let num_participating = participating.iter().filter(|&&i| run.has_out[i]).count();
+            let mut rank = 0;
+            for &i in &participating {
+                let machine = run.machines[i].index();
+                let local = run.locals[i];
+                if i != run.master {
+                    let state = caches[master][master_local].clone();
+                    caches[machine][local as usize] = state;
                 }
-                let local = self
-                    .graph
-                    .shard(m)
-                    .local_index(v)
-                    .expect("replica exists on participating machine"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                sync_receives[m.index()].push(SyncReceive {
-                    local,
-                    state: master_state.clone(),
-                });
-            }
-
-            // Scatter tasks: participating replicas that own at least one out-edge.
-            let scatterers: Vec<MachineId> = participating
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    let shard = self.graph.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l) > 0)
-                        .unwrap_or(false)
-                })
-                .collect();
-            let num_participating = scatterers.len();
-            for (rank, &m) in scatterers.iter().enumerate() {
-                let local = self.graph.shard(m).local_index(v).expect("replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                scatter_tasks[m.index()].push(ScatterTask {
-                    local,
-                    vertex: v,
-                    replica_rank: rank,
-                    num_participating,
-                });
-            }
-        }
-
-        // ----------------------------------------------------- sync apply + scatter --
-        // Serial commit of the mirror refreshes (each targets a distinct local slot),
-        // then read-only scatter batches over the now-consistent caches.
-        for (machine, receives) in sync_receives.into_iter().enumerate() {
-            for recv in receives {
-                caches[machine][recv.local as usize] = recv.state;
+                if run.has_out[i] {
+                    scatter_tasks[machine].push(ScatterTask {
+                        local,
+                        vertex: v,
+                        replica_rank: rank,
+                        num_participating,
+                    });
+                    rank += 1;
+                }
             }
         }
         sync_span.counter("sync_ops", work.sync_ops);
@@ -925,6 +880,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         sync_span.counter("skipped_scatters", work.skipped_scatters);
         drop(sync_span);
 
+        // ----------------------------------------------------------------- scatter --
+        // Read-only batches over the caches the sync loop just refreshed.
         let mut scatter_span = sink.span(
             span_meta!("scatter"),
             SpanKey::new(step, 0, 0, LANE_SCATTER),
@@ -970,43 +927,34 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
         // ----------------------------------------------------------- route messages --
         let mut route_span = sink.span(span_meta!("route"), SpanKey::new(step, 0, 0, LANE_ROUTE));
+        let message_bytes =
+            (self.program.message_bytes() + self.config.cost_model.message_header_bytes) as u64;
         let mut routed: Vec<RoutedMessage<P::Message>> = Vec::new();
-        for (machine, (outbox, ops)) in scatter_results.into_iter().enumerate() {
+        for (machine, (mut outbox, ops)) in scatter_results.into_iter().enumerate() {
             work.scatter_ops += ops;
             work.ops_per_machine[machine] += ops;
             // Combine per destination within the sending machine (walkers headed to the
             // same vertex travel as one message — the paper's first optimization).
-            let mut combined: Vec<(VertexId, P::Message)> = outbox;
-            combined.sort_by_key(|(v, _)| *v);
-            let mut merged: Vec<(VertexId, P::Message)> = Vec::with_capacity(combined.len());
-            for (v, msg) in combined {
-                match merged.last_mut() {
-                    Some((lv, lm)) if *lv == v => {
-                        *lm = self.program.combine_messages(lm.clone(), msg);
+            outbox.sort_by_key(|(v, _)| *v);
+            let first = routed.len();
+            for (dst, msg) in outbox {
+                match routed[first..].last_mut() {
+                    Some(last) if last.vertex == dst => {
+                        last.message = self.program.combine_messages(last.message.clone(), msg);
                     }
-                    _ => merged.push((v, msg)),
+                    _ => {
+                        let master = placement.master(dst).index();
+                        if master != machine {
+                            net.record(machine, message_bytes);
+                        }
+                        routed.push(RoutedMessage {
+                            sender: machine,
+                            machine: master,
+                            vertex: dst,
+                            message: msg,
+                        });
+                    }
                 }
-            }
-            for (dst, msg) in merged {
-                let master = placement.master(dst);
-                if master.index() != machine {
-                    net.record(
-                        machine,
-                        (self.program.message_bytes() + self.config.cost_model.message_header_bytes)
-                            as u64,
-                    );
-                }
-                let local = self
-                    .graph
-                    .shard(master)
-                    .local_index(dst)
-                    .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                routed.push(RoutedMessage {
-                    sender: machine,
-                    machine: master.index(),
-                    local,
-                    message: msg,
-                });
             }
         }
 
@@ -1026,13 +974,15 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         (step_metrics, routed)
     }
 
-    /// Number of worker threads serving work batches.
+    /// Number of worker threads serving work batches: an explicit `workers` count
+    /// always wins; otherwise `parallel` sizes the pool from the host, and serial
+    /// runs use the calling thread alone.
     fn worker_count(&self) -> usize {
-        if !self.config.parallel {
-            return 1;
-        }
         if self.config.workers > 0 {
             return self.config.workers;
+        }
+        if !self.config.parallel {
+            return 1;
         }
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1171,12 +1121,16 @@ fn scatter_batch<P: VertexProgram>(
 ) -> (Vec<(VertexId, P::Message)>, u64) {
     let mut outbox: Vec<(VertexId, P::Message)> = Vec::new();
     let mut ops = 0u64;
+    // Global ids of the current task's local out-neighbors; one buffer per batch.
+    let mut local_neighbors: Vec<VertexId> = Vec::new();
     for task in tasks {
-        let local_neighbors: Vec<VertexId> = shard
-            .local_out_neighbors(task.local)
-            .iter()
-            .map(|&l| shard.global_id(l))
-            .collect();
+        local_neighbors.clear();
+        local_neighbors.extend(
+            shard
+                .local_out_neighbors(task.local)
+                .iter()
+                .map(|&l| shard.global_id(l)),
+        );
         ops += local_neighbors.len() as u64;
         let mut task_rng = rng::derived_rng(&[
             seed,
@@ -1797,6 +1751,112 @@ mod tests {
             .supersteps
             .iter()
             .all(|s| s.simulated_seconds >= 0.0));
+    }
+
+    /// Gathers the number of in-edges of every vertex; exercises the accumulator
+    /// slots the way PageRank does, without scatter.
+    struct InDegree;
+
+    impl VertexProgram for InDegree {
+        type State = u64;
+        type Message = ();
+        type Accum = u64;
+
+        fn combine_messages(&self, _a: (), _b: ()) {}
+        fn combine_accums(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+        fn gather_direction(&self) -> EdgeDirection {
+            EdgeDirection::In
+        }
+        fn gather_edge(&self, _: VertexId, _: VertexId, _: &u64, _: &u64, _: u32) -> Option<u64> {
+            Some(1)
+        }
+        fn apply(
+            &self,
+            _ctx: &mut ApplyContext<'_>,
+            _vertex: VertexId,
+            state: &mut u64,
+            accum: Option<u64>,
+            _message: Option<()>,
+        ) {
+            *state = accum.unwrap_or(0);
+        }
+        fn needs_scatter(&self, _vertex: VertexId, _state: &u64) -> bool {
+            false
+        }
+        fn scatter_replica(
+            &self,
+            _ctx: &mut ScatterContext<'_>,
+            _vertex: VertexId,
+            _state: &u64,
+            _local_out_neighbors: &[VertexId],
+            _emit: &mut dyn FnMut(VertexId, ()),
+        ) {
+        }
+    }
+
+    #[test]
+    fn every_slot_is_empty_when_run_returns() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let graph = rmat(400, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 6);
+        for staleness in [0usize, 2] {
+            let config = EngineConfig {
+                max_supersteps: 7,
+                sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
+                staleness,
+                ..EngineConfig::default()
+            };
+            let tokens = Engine::new(&pg, TokenForward { steps: 7 }, config.clone()).unwrap();
+            let (out, slots) =
+                tokens.execute(InitialActivation::Messages(vec![(0u32, 9_000u64), (5, 40)]));
+            assert_eq!(total_tokens(&out.states), 9_040, "staleness {staleness}");
+            assert!(
+                slots.inbox.iter().all(Option::is_none),
+                "staleness {staleness}"
+            );
+            assert!(
+                slots.accums.iter().all(Option::is_none),
+                "staleness {staleness}"
+            );
+
+            let gather = Engine::new(&pg, InDegree, config).unwrap();
+            let (out, slots) = gather.execute(InitialActivation::AllVertices);
+            let in_degrees: Vec<u64> = graph
+                .vertices()
+                .map(|v| graph.in_degree(v) as u64)
+                .collect();
+            assert_eq!(out.states, in_degrees, "staleness {staleness}");
+            assert!(
+                slots.inbox.iter().all(Option::is_none),
+                "staleness {staleness}"
+            );
+            assert!(
+                slots.accums.iter().all(Option::is_none),
+                "staleness {staleness}"
+            );
+        }
+    }
+
+    #[test]
+    fn explicit_worker_count_is_honoured_without_parallel() {
+        let graph = cycle(10);
+        let pg = partitioned(&graph, 2);
+        let workers = |parallel: bool, workers: usize| {
+            let config = EngineConfig {
+                parallel,
+                workers,
+                ..EngineConfig::default()
+            };
+            Engine::new(&pg, TokenForward { steps: 1 }, config)
+                .unwrap()
+                .worker_count()
+        };
+        assert_eq!(workers(false, 3), 3);
+        assert_eq!(workers(true, 3), 3);
+        assert_eq!(workers(false, 0), 1);
+        assert!(workers(true, 0) >= 1);
     }
 
     #[test]

@@ -7,7 +7,17 @@
 //! * exactly one replica is designated the **master** (it holds the authoritative vertex
 //!   state, runs `apply`, and pushes updates to the mirrors);
 //! * every machine holds a [`Shard`]: its local edges in CSR form over *local* vertex
-//!   indices, plus lookup tables between local and global ids.
+//!   indices, plus the table from local index to global id.
+//!
+//! [`VertexPlacement`] is a flat CSR **replica directory**, built once at partition
+//! time: for every vertex one contiguous run of `(machine, local index, has local
+//! out-edges)` entries, sorted by machine, plus the master's position in that run.
+//! It answers every replica-level question the engine asks — where the master lives,
+//! which local slot a replica occupies, whether it can scatter — with array reads, so
+//! no lookup table is searched on the superstep path. The shard build itself resolves
+//! its per-edge local indices through the directory. [`Shard::local_index`] (a binary
+//! search over the shard's vertex table) remains only for [`PartitionedGraph::validate`]
+//! and tests.
 //!
 //! The replication factor reported by [`VertexPlacement::replication_factor`] is the
 //! quantity that drives the per-iteration network cost of the standard PageRank — the
@@ -20,33 +30,108 @@ use crate::partition::{EdgeAssignment, Partitioner};
 use crate::rng;
 use frogwild_graph::{DiGraph, VertexId};
 
-/// Where each vertex's master lives and which machines hold replicas.
+/// Where each vertex's master lives and which machines hold replicas: the flat replica
+/// directory.
+///
+/// Vertex `v` owns the entries `offsets[v]..offsets[v + 1]` of three parallel arrays
+/// (machine, local index on that machine's shard, whether that shard owns an out-edge
+/// of `v`), sorted by machine. `master_pos[v]` is the master's position in the run.
 #[derive(Clone, Debug)]
 pub struct VertexPlacement {
-    /// Master machine of every vertex.
-    master: Vec<MachineId>,
-    /// Sorted list of machines holding a replica of every vertex (always contains the
-    /// master's machine).
-    replicas: Vec<Vec<MachineId>>,
+    offsets: Vec<usize>,
+    machines: Vec<MachineId>,
+    locals: Vec<u32>,
+    has_out: Vec<bool>,
+    master_pos: Vec<u16>,
+}
+
+/// One vertex's run of the replica directory: parallel slices sorted by machine.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ReplicaRun<'a> {
+    /// Machines holding a replica, ascending.
+    pub(crate) machines: &'a [MachineId],
+    /// Local index of the replica on each machine's shard.
+    pub(crate) locals: &'a [u32],
+    /// Whether each machine's shard owns at least one out-edge of the vertex.
+    pub(crate) has_out: &'a [bool],
+    /// Position of the master replica in the run.
+    pub(crate) master: usize,
+}
+
+impl ReplicaRun<'_> {
+    /// Machine of the master replica.
+    #[inline]
+    pub(crate) fn master_machine(&self) -> MachineId {
+        self.machines[self.master]
+    }
+
+    /// Local index of the master replica on its shard.
+    #[inline]
+    pub(crate) fn master_local(&self) -> u32 {
+        self.locals[self.master]
+    }
 }
 
 impl VertexPlacement {
+    /// The directory run of `v`.
+    #[inline]
+    pub(crate) fn run(&self, v: VertexId) -> ReplicaRun<'_> {
+        let range = self.range(v);
+        ReplicaRun {
+            machines: &self.machines[range.clone()],
+            locals: &self.locals[range.clone()],
+            has_out: &self.has_out[range],
+            master: self.master_pos[v as usize] as usize,
+        }
+    }
+
+    #[inline]
+    fn range(&self, v: VertexId) -> std::ops::Range<usize> {
+        let v = v as usize;
+        self.offsets[v]..self.offsets[v + 1]
+    }
+
+    /// Position of `v`'s master entry in the flat directory arrays.
+    #[inline]
+    fn master_entry(&self, v: VertexId) -> usize {
+        self.offsets[v as usize] + self.master_pos[v as usize] as usize
+    }
+
     /// Master machine of `v`.
     #[inline]
     pub fn master(&self, v: VertexId) -> MachineId {
-        self.master[v as usize]
+        self.machines[self.master_entry(v)]
+    }
+
+    /// Local index of `v`'s master replica on the master machine's shard.
+    #[inline]
+    pub(crate) fn master_local(&self, v: VertexId) -> u32 {
+        self.locals[self.master_entry(v)]
     }
 
     /// Machines holding a replica of `v` (sorted, includes the master's machine).
     #[inline]
     pub fn replicas(&self, v: VertexId) -> &[MachineId] {
-        &self.replicas[v as usize]
+        &self.machines[self.range(v)]
+    }
+
+    /// Position of machine `m` in `v`'s run, if `m` holds a replica (a search of a
+    /// run, which is at most as long as the machine count).
+    #[inline]
+    fn position_on(&self, v: VertexId, m: MachineId) -> Option<usize> {
+        self.machines[self.range(v)].binary_search(&m).ok()
+    }
+
+    /// Local index of the replica at position `pos` of `v`'s run.
+    #[inline]
+    fn local_at(&self, v: VertexId, pos: usize) -> u32 {
+        self.locals[self.offsets[v as usize] + pos]
     }
 
     /// Mirror machines of `v` (replicas excluding the master's machine).
     pub fn mirrors(&self, v: VertexId) -> impl Iterator<Item = MachineId> + '_ {
         let master = self.master(v);
-        self.replicas[v as usize]
+        self.replicas(v)
             .iter()
             .copied()
             .filter(move |&m| m != master)
@@ -54,25 +139,21 @@ impl VertexPlacement {
 
     /// Number of vertices placed.
     pub fn num_vertices(&self) -> usize {
-        self.master.len()
+        self.master_pos.len()
     }
 
     /// Average number of replicas per vertex — the key cost metric of a vertex-cut.
     pub fn replication_factor(&self) -> f64 {
-        if self.replicas.is_empty() {
+        if self.master_pos.is_empty() {
             return 0.0;
         }
-        let total: usize = self.replicas.iter().map(|r| r.len()).sum();
-        total as f64 / self.replicas.len() as f64
+        self.machines.len() as f64 / self.master_pos.len() as f64
     }
 
     /// Total number of mirror replicas (replicas minus masters), i.e. the number of
     /// master→mirror synchronization messages a full sync of every vertex would send.
     pub fn total_mirrors(&self) -> usize {
-        self.replicas
-            .iter()
-            .map(|r| r.len().saturating_sub(1))
-            .sum()
+        self.machines.len().saturating_sub(self.master_pos.len())
     }
 }
 
@@ -106,7 +187,10 @@ impl Shard {
     }
 
     /// Local index of a global vertex id, if the vertex has a replica here.
-    #[inline]
+    ///
+    /// A binary search over the shard's vertex table, meant for
+    /// [`PartitionedGraph::validate`] and tests only: the engine and the shard build
+    /// read local indices from the replica directory ([`VertexPlacement`]).
     pub fn local_index(&self, v: VertexId) -> Option<u32> {
         // `vertices` is sorted ascending, so the local index is its rank.
         self.vertices.binary_search(&v).ok().map(|i| i as u32)
@@ -202,91 +286,87 @@ impl PartitionedGraph {
             "assignment must cover every edge"
         );
 
-        // --- replica sets -------------------------------------------------------
-        let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); n];
-        let add_replica = |v: VertexId, m: MachineId, sets: &mut Vec<Vec<MachineId>>| {
-            let set = &mut sets[v as usize];
-            if !set.contains(&m) {
-                set.push(m);
-            }
+        // --- replica sets: one machine bitmask per vertex ------------------------
+        let words = num_machines.div_ceil(64);
+        let mut masks = vec![0u64; n * words];
+        let mark = |masks: &mut [u64], v: usize, m: usize| {
+            masks[v * words + m / 64] |= 1u64 << (m % 64);
         };
         for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
-            add_replica(src, machine, &mut replica_sets);
-            add_replica(dst, machine, &mut replica_sets);
+            mark(&mut masks, src as usize, machine.index());
+            mark(&mut masks, dst as usize, machine.index());
         }
         // Isolated vertices (no edges at all) still need a home for their master.
-        for (v, set) in replica_sets.iter_mut().enumerate() {
-            if set.is_empty() {
-                let m =
-                    MachineId::from(rng::pick_index(num_machines, &[seed, 0x150AA7ED, v as u64]));
-                set.push(m);
+        for v in 0..n {
+            if masks[v * words..(v + 1) * words].iter().all(|&w| w == 0) {
+                let m = rng::pick_index(num_machines, &[seed, 0x150AA7ED, v as u64]);
+                mark(&mut masks, v, m);
             }
         }
-        for set in &mut replica_sets {
-            set.sort_unstable();
+
+        // --- directory runs, local indices and master assignment ----------------
+        // Visiting vertices in ascending id order hands out each shard's local
+        // indices in ascending global-id order, so local index = rank in the shard.
+        let total: usize = masks.iter().map(|w| w.count_ones() as usize).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut machines: Vec<MachineId> = Vec::with_capacity(total);
+        let mut locals: Vec<u32> = Vec::with_capacity(total);
+        let mut master_pos: Vec<u16> = Vec::with_capacity(n);
+        let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
+        offsets.push(0);
+        for v in 0..n {
+            let start = machines.len();
+            for (w, &word) in masks[v * words..(v + 1) * words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let m = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    machines.push(MachineId::from(m));
+                    locals.push(shard_vertices[m].len() as u32);
+                    shard_vertices[m].push(v as VertexId);
+                }
+            }
+            let len = machines.len() - start;
+            master_pos.push(rng::pick_index(len, &[seed, 0x4A57E2, v as u64]) as u16);
+            offsets.push(machines.len());
         }
-
-        // --- master assignment --------------------------------------------------
-        let master: Vec<MachineId> = (0..n)
-            .map(|v| {
-                let set = &replica_sets[v];
-                set[rng::pick_index(set.len(), &[seed, 0x4A57E2, v as u64])]
-            })
-            .collect();
-
-        let placement = VertexPlacement {
-            master,
-            replicas: replica_sets,
-        };
+        drop(masks);
 
         // --- shards -------------------------------------------------------------
-        // Local vertex tables per machine.
-        let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
-        for v in 0..n as VertexId {
-            for &m in placement.replicas(v) {
-                shard_vertices[m.index()].push(v);
-            }
-        }
-        let mut shards: Vec<Shard> = Vec::with_capacity(num_machines);
-        for (m, vertices) in shard_vertices.into_iter().enumerate() {
-            let is_master = vertices
-                .iter()
-                .map(|&v| placement.master(v).index() == m)
-                .collect();
-            shards.push(Shard {
+        let mut shards: Vec<Shard> = shard_vertices
+            .into_iter()
+            .enumerate()
+            .map(|(m, vertices)| Shard {
                 machine: MachineId::from(m),
+                is_master: vec![false; vertices.len()],
                 vertices,
-                is_master,
                 out_offsets: Vec::new(),
                 out_targets_local: Vec::new(),
                 in_offsets: Vec::new(),
                 in_sources_local: Vec::new(),
-            });
+            })
+            .collect();
+        for v in 0..n {
+            let e = offsets[v] + master_pos[v] as usize;
+            shards[machines[e].index()].is_master[locals[e] as usize] = true;
         }
 
-        // Local edges per machine, in local-index terms.
-        let mut local_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_machines];
-        for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
-            let shard = &shards[machine.index()];
-            // lint:allow(panic, placement invariant: edge endpoints are replicated where the edge lives)
-            let ls = shard.local_index(src).expect("source must have a replica");
-            let ld = shard
-                .local_index(dst)
-                // lint:allow(panic, placement invariant: edge endpoints are replicated where the edge lives)
-                .expect("destination must have a replica");
-            local_edges[machine.index()].push((ls, ld));
-        }
-        for (m, edges) in local_edges.into_iter().enumerate() {
-            let num_local = shards[m].vertices.len();
-            let (out_offsets, out_targets_local) =
-                build_local_csr(num_local, edges.iter().map(|&(s, d)| (s, d)));
-            let (in_offsets, in_sources_local) =
-                build_local_csr(num_local, edges.iter().map(|&(s, d)| (d, s)));
-            let shard = &mut shards[m];
-            shard.out_offsets = out_offsets;
-            shard.out_targets_local = out_targets_local;
-            shard.in_offsets = in_offsets;
-            shard.in_sources_local = in_sources_local;
+        // The out-edge flags are known once the local CSRs exist.
+        let mut placement = VertexPlacement {
+            offsets,
+            has_out: vec![false; machines.len()],
+            machines,
+            locals,
+            master_pos,
+        };
+        build_local_csrs(graph, assignment, &placement, &mut shards);
+        for ((flag, &m), &l) in placement
+            .has_out
+            .iter_mut()
+            .zip(&placement.machines)
+            .zip(&placement.locals)
+        {
+            *flag = shards[m.index()].local_out_degree(l) > 0;
         }
 
         let out_degrees = (0..n as VertexId)
@@ -346,54 +426,81 @@ impl PartitionedGraph {
 
     /// Consistency check used by tests: every edge appears on exactly one machine, every
     /// endpoint of a local edge has a local replica, local degree sums match global
-    /// degrees, and the master of every vertex is one of its replicas.
+    /// degrees, and every replica directory entry agrees with its shard — the entry's
+    /// local index maps back to the vertex, its out-edge flag matches the shard's local
+    /// out-degree, each run is sorted by machine, and exactly one entry (the master's)
+    /// is flagged `is_master` by its shard.
     pub fn validate(&self) -> Result<(), frogwild_graph::Error> {
+        let fail = |message: String| Err(frogwild_graph::Error::partition(message));
         let total_local_edges: usize = self.shards.iter().map(|s| s.num_local_edges()).sum();
         if total_local_edges != self.num_edges {
-            return Err(frogwild_graph::Error::partition(format!(
+            return fail(format!(
                 "local edges {} do not sum to global edge count {}",
                 total_local_edges, self.num_edges
-            )));
+            ));
+        }
+        let total_local_vertices: usize = self.shards.iter().map(|s| s.num_local_vertices()).sum();
+        if total_local_vertices != self.placement.machines.len() {
+            return fail(format!(
+                "shards hold {total_local_vertices} replicas, the directory {}",
+                self.placement.machines.len()
+            ));
         }
         for v in 0..self.num_vertices as VertexId {
-            let master = self.placement.master(v);
-            if !self.placement.replicas(v).contains(&master) {
-                return Err(frogwild_graph::Error::partition(format!(
-                    "master of vertex {v} is not among its replicas"
-                )));
+            let run = self.placement.run(v);
+            if run.master >= run.machines.len() {
+                return fail(format!("vertex {v}: master position outside its run"));
             }
-            let local_out_total: usize = self
-                .placement
-                .replicas(v)
+            if !run.machines.windows(2).all(|w| w[0] < w[1]) {
+                return fail(format!("vertex {v}: directory run not sorted by machine"));
+            }
+            let mut local_out_total = 0usize;
+            for (i, ((&m, &local), &has_out)) in run
+                .machines
                 .iter()
-                .map(|&m| {
-                    let shard = self.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l))
-                        .unwrap_or(0)
-                })
-                .sum();
+                .zip(run.locals)
+                .zip(run.has_out)
+                .enumerate()
+            {
+                let Some(shard) = self.shards.get(m.index()) else {
+                    return fail(format!("vertex {v}: replica on unknown machine {m}"));
+                };
+                if shard.vertices.get(local as usize) != Some(&v) {
+                    return fail(format!(
+                        "vertex {v}: directory entry for {m} points at the wrong local slot"
+                    ));
+                }
+                let out_degree = shard.local_out_degree(local);
+                if has_out != (out_degree > 0) {
+                    return fail(format!("vertex {v}: out-edge flag wrong on {m}"));
+                }
+                if shard.is_master.get(local as usize) != Some(&(i == run.master)) {
+                    return fail(format!(
+                        "vertex {v}: shard {m} master flag disagrees with the directory"
+                    ));
+                }
+                local_out_total += out_degree;
+            }
             if local_out_total != self.out_degrees[v as usize] as usize {
-                return Err(frogwild_graph::Error::partition(format!(
+                return fail(format!(
                     "vertex {v}: local out-degrees sum to {local_out_total}, global is {}",
                     self.out_degrees[v as usize]
-                )));
+                ));
             }
         }
         for shard in &self.shards {
             if shard.vertices.len() != shard.is_master.len() {
-                return Err(frogwild_graph::Error::partition(format!(
+                return fail(format!(
                     "shard {} vertex/master table length mismatch",
                     shard.machine
-                )));
+                ));
             }
             for (i, &v) in shard.vertices.iter().enumerate() {
                 if shard.local_index(v) != Some(i as u32) {
-                    return Err(frogwild_graph::Error::partition(format!(
+                    return fail(format!(
                         "shard {}: lookup table inconsistent for vertex {v}",
                         shard.machine
-                    )));
+                    ));
                 }
             }
         }
@@ -401,31 +508,95 @@ impl PartitionedGraph {
     }
 }
 
-/// Counting-sort CSR over local indices.
-fn build_local_csr(
-    num_local: usize,
-    edges: impl Iterator<Item = (u32, u32)> + Clone,
-) -> (Vec<usize>, Vec<u32>) {
-    let mut degrees = vec![0usize; num_local];
-    let mut count = 0usize;
-    for (s, _) in edges.clone() {
-        degrees[s as usize] += 1;
-        count += 1;
+/// Builds every shard's local out- and in-edge CSR with two passes over the edges
+/// (count, then fill), resolving both endpoints' local indices through the replica
+/// directory. The count pass remembers each edge's destination as its position in
+/// the destination's run (a `u16`: runs are at most as long as the machine count), so
+/// the fill pass does not search again. Within a shard, edges keep global edge
+/// order, as the engine's scatter order requires.
+fn build_local_csrs(
+    graph: &DiGraph,
+    assignment: &EdgeAssignment,
+    placement: &VertexPlacement,
+    shards: &mut [Shard],
+) {
+    for shard in shards.iter_mut() {
+        let num_local = shard.vertices.len();
+        shard.out_offsets = vec![0; num_local + 1];
+        shard.in_offsets = vec![0; num_local + 1];
     }
-    let mut offsets = Vec::with_capacity(num_local + 1);
-    offsets.push(0);
-    let mut acc = 0;
-    for &d in &degrees {
-        acc += d;
-        offsets.push(acc);
+    // Count pass: per-shard local degrees, stored one slot ahead for the prefix sum.
+    let mut dst_positions: Vec<u16> = Vec::with_capacity(graph.num_edges());
+    for_each_edge(graph, assignment, placement, |m, ls, dst| {
+        let pos = placement
+            .position_on(dst, MachineId::from(m))
+            // lint:allow(panic, placement invariant: edge endpoints are replicated where the edge lives)
+            .expect("destination must have a replica");
+        dst_positions.push(pos as u16);
+        let ld = placement.local_at(dst, pos);
+        let shard = &mut shards[m];
+        shard.out_offsets[ls as usize + 1] += 1;
+        shard.in_offsets[ld as usize + 1] += 1;
+    });
+    for shard in shards.iter_mut() {
+        for offsets in [&mut shard.out_offsets, &mut shard.in_offsets] {
+            for i in 1..offsets.len() {
+                offsets[i] += offsets[i - 1];
+            }
+        }
+        let count = shard.out_offsets.last().copied().unwrap_or(0);
+        shard.out_targets_local = vec![0; count];
+        shard.in_sources_local = vec![0; count];
     }
-    let mut targets = vec![0u32; count];
-    let mut cursor = offsets[..num_local].to_vec();
-    for (s, d) in edges {
-        targets[cursor[s as usize]] = d;
-        cursor[s as usize] += 1;
+    // Fill pass, in global edge order. `offsets[l]` serves as row `l`'s cursor and
+    // ends at the start of row `l + 1`; shifting by one slot restores the row starts.
+    let mut positions = dst_positions.into_iter();
+    for_each_edge(graph, assignment, placement, |m, ls, dst| {
+        let pos = positions.next().unwrap_or_default() as usize;
+        let ld = placement.local_at(dst, pos);
+        let shard = &mut shards[m];
+        let out = &mut shard.out_offsets[ls as usize];
+        shard.out_targets_local[*out] = ld;
+        *out += 1;
+        let inc = &mut shard.in_offsets[ld as usize];
+        shard.in_sources_local[*inc] = ls;
+        *inc += 1;
+    });
+    for shard in shards.iter_mut() {
+        for offsets in [&mut shard.out_offsets, &mut shard.in_offsets] {
+            let rows = offsets.len() - 1;
+            offsets.copy_within(..rows, 1);
+            offsets[0] = 0;
+        }
     }
-    (offsets, targets)
+}
+
+/// Calls `f(machine, local source, destination)` for every edge, in global edge
+/// order. Edges come grouped by source, so the source's machine → local table
+/// is filled from its directory run once per vertex.
+fn for_each_edge(
+    graph: &DiGraph,
+    assignment: &EdgeAssignment,
+    placement: &VertexPlacement,
+    mut f: impl FnMut(usize, u32, VertexId),
+) {
+    let mut src_local = vec![0u32; assignment.num_machines];
+    let mut edge = 0usize;
+    for src in 0..graph.num_vertices() as VertexId {
+        let targets = graph.out_neighbors(src);
+        if targets.is_empty() {
+            continue;
+        }
+        let run = placement.run(src);
+        for (&m, &local) in run.machines.iter().zip(run.locals) {
+            src_local[m.index()] = local;
+        }
+        for &dst in targets {
+            let machine = assignment.machines[edge].index();
+            f(machine, src_local[machine], dst);
+            edge += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -575,5 +746,46 @@ mod tests {
             assert_eq!(a.placement().master(v), b.placement().master(v));
             assert_eq!(a.placement().replicas(v), b.placement().replicas(v));
         }
+    }
+
+    #[test]
+    fn directory_agrees_with_shard_lookups() {
+        let g = small_rmat();
+        let pg = PartitionedGraph::build(&g, 7, &RandomPartitioner, 4);
+        let placement = pg.placement();
+        for v in g.vertices() {
+            let run = placement.run(v);
+            assert_eq!(run.machines, placement.replicas(v));
+            assert_eq!(run.master_machine(), placement.master(v));
+            assert_eq!(run.master_local(), placement.master_local(v));
+            for (&m, &local) in run.machines.iter().zip(run.locals) {
+                assert_eq!(pg.shard(m).local_index(v), Some(local));
+                let pos = placement.position_on(v, m).unwrap();
+                assert_eq!(placement.local_at(v, pos), local);
+            }
+        }
+        let mirrors: usize = g.vertices().map(|v| placement.mirrors(v).count()).sum();
+        assert_eq!(mirrors, placement.total_mirrors());
+    }
+
+    #[test]
+    fn validate_rejects_a_corrupted_directory() {
+        let g = small_rmat();
+        let pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 6);
+        pg.validate().unwrap();
+
+        let mut flipped = pg.clone();
+        flipped.placement.has_out[0] = !flipped.placement.has_out[0];
+        assert!(flipped.validate().is_err());
+
+        let mut moved = pg.clone();
+        let run_len = moved.placement.offsets[1] - moved.placement.offsets[0];
+        moved.placement.master_pos[0] =
+            ((moved.placement.master_pos[0] as usize + 1) % run_len.max(2)) as u16;
+        assert!(moved.validate().is_err());
+
+        let mut shifted = pg.clone();
+        shifted.placement.locals[0] ^= 1;
+        assert!(shifted.validate().is_err());
     }
 }

@@ -33,7 +33,20 @@ pub fn write_snapshot<W: Write>(graph: &DiGraph, writer: W) -> Result<()> {
     Ok(())
 }
 
+/// Entries reserved before the bytes that fill them have arrived. A forged header
+/// can declare any vertex or edge count; the reader never reserves more than this up
+/// front and grows the rest as data is actually read, so a short hostile input fails
+/// with an error instead of a huge allocation.
+const MAX_UPFRONT_ENTRIES: usize = 1 << 22;
+
+/// `u32` words decoded per read.
+const READ_CHUNK: usize = 4096;
+
 /// Reads a binary snapshot written by [`write_snapshot`].
+///
+/// Every malformed input — bad magic, a vertex count beyond the [`VertexId`] range,
+/// truncation, a degree sum that disagrees with the edge count, an out-of-range
+/// target — returns an error.
 pub fn read_snapshot<R: Read>(reader: R) -> Result<DiGraph> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
@@ -45,37 +58,81 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<DiGraph> {
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
+    let n = u64::from_le_bytes(buf8);
     r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-
-    let mut degrees = vec![0u32; n];
-    let mut buf4 = [0u8; 4];
-    for d in degrees.iter_mut() {
-        r.read_exact(&mut buf4)?;
-        *d = u32::from_le_bytes(buf4);
+    let m = u64::from_le_bytes(buf8);
+    if n > u64::from(VertexId::MAX) {
+        return Err(GraphError::InvalidParameter(format!(
+            "snapshot corrupt: {n} vertices exceed the vertex-id range"
+        )));
     }
+    let (n, m) = match (usize::try_from(n), usize::try_from(m)) {
+        (Ok(n), Ok(m)) => (n, m),
+        _ => {
+            return Err(GraphError::InvalidParameter(format!(
+                "snapshot corrupt: {n} vertices / {m} edges do not fit in memory"
+            )))
+        }
+    };
+
+    let mut degrees: Vec<u32> = Vec::with_capacity(n.min(MAX_UPFRONT_ENTRIES));
+    read_u32s(&mut r, n, |d| {
+        degrees.push(d);
+        Ok(())
+    })?;
     let total: usize = degrees.iter().map(|&d| d as usize).sum();
     if total != m {
         return Err(GraphError::InvalidParameter(format!(
             "snapshot corrupt: degree sum {total} does not match edge count {m}"
         )));
     }
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(m);
-    for (v, &deg) in degrees.iter().enumerate() {
-        for _ in 0..deg {
-            r.read_exact(&mut buf4)?;
-            let dst = u32::from_le_bytes(buf4);
-            if dst as usize >= n {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: dst as u64,
-                    num_vertices: n as u64,
-                });
-            }
-            edges.push((v as VertexId, dst));
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(m.min(MAX_UPFRONT_ENTRIES));
+    // Targets come grouped by source; walk the degree sequence alongside them.
+    let mut sources = degrees.iter().enumerate();
+    let (mut src, mut left) = (0usize, 0u32);
+    read_u32s(&mut r, m, |dst| {
+        while left == 0 {
+            let (v, &d) = sources.next().ok_or_else(|| {
+                GraphError::InvalidParameter("snapshot corrupt: more targets than degrees".into())
+            })?;
+            (src, left) = (v, d);
         }
-    }
+        left -= 1;
+        if dst as usize >= n {
+            return Err(GraphError::VertexOutOfBounds {
+                vertex: u64::from(dst),
+                num_vertices: n as u64,
+            });
+        }
+        edges.push((src as VertexId, dst));
+        Ok(())
+    })?;
     Ok(DiGraph::from_edges(n, &edges))
+}
+
+/// Decodes `count` little-endian `u32`s in bounded chunks, handing each to `each` in
+/// order. Stops at the first read or callback error.
+fn read_u32s<R: Read>(
+    r: &mut R,
+    count: usize,
+    mut each: impl FnMut(u32) -> Result<()>,
+) -> Result<()> {
+    let mut buf = [0u8; 4 * READ_CHUNK];
+    let mut remaining = count;
+    while remaining > 0 {
+        let take = remaining.min(READ_CHUNK);
+        let Some(bytes) = buf.get_mut(..4 * take) else {
+            break;
+        };
+        r.read_exact(bytes)?;
+        for word in bytes.chunks_exact(4) {
+            if let &[a, b, c, d] = word {
+                each(u32::from_le_bytes([a, b, c, d]))?;
+            }
+        }
+        remaining -= take;
+    }
+    Ok(())
 }
 
 /// Writes a snapshot to a file path.
@@ -152,6 +209,66 @@ mod tests {
         write_snapshot(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_snapshot(buf.as_slice()).is_err());
+    }
+
+    /// A snapshot header (magic, `n`, `m`) with no body.
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn forged_headers_return_errors_without_allocating_their_claims() {
+        // Beyond the vertex-id range: rejected before reading any body.
+        let err = read_snapshot(header(1 << 40, 0).as_slice()).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+        // In range but far larger than the input: the body runs out.
+        assert!(read_snapshot(header(u64::from(u32::MAX), 0).as_slice()).is_err());
+        // An edge count no degree sequence backs.
+        let mut forged = header(1, u64::MAX);
+        forged.extend_from_slice(&5u32.to_le_bytes());
+        assert!(read_snapshot(forged.as_slice()).is_err());
+        // A degree sequence that backs a huge edge count, with no targets behind it.
+        let mut forged = header(1, u64::from(u32::MAX));
+        forged.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_snapshot(forged.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_every_truncation() {
+        let g = complete(4);
+        let mut buf = Vec::new();
+        write_snapshot(&g, &mut buf).unwrap();
+        for len in 0..buf.len() {
+            assert!(
+                read_snapshot(&buf[..len]).is_err(),
+                "truncated to {len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_bit_flips_in_header_degrees_and_target_ranges() {
+        let g = complete(5);
+        let mut buf = Vec::new();
+        write_snapshot(&g, &mut buf).unwrap();
+        let body = 24 + 4 * g.num_vertices();
+        // Every bit of the magic, the counts and the degree sequence...
+        let mut flips: Vec<(usize, u8)> = (0..body)
+            .flat_map(|byte| (0..8).map(move |bit| (byte, 1u8 << bit)))
+            .collect();
+        // ...and the top bit of every target, which puts it out of range.
+        flips.extend((body..buf.len()).step_by(4).map(|byte| (byte + 3, 0x80)));
+        for (byte, mask) in flips {
+            let mut flipped = buf.clone();
+            flipped[byte] ^= mask;
+            assert!(
+                read_snapshot(flipped.as_slice()).is_err(),
+                "flip {mask:#04x} at byte {byte} went undetected"
+            );
+        }
     }
 
     #[test]
